@@ -251,7 +251,10 @@ bool CheckContract(size_t threads) {
     util::ConcurrentAggregator aggregator(options);
     std::map<std::string, std::pair<uint64_t, uint64_t>> reference;
     for (size_t i = 0; i < 20000; ++i) {
-      std::string key = "k" + std::to_string(i % 1500);
+      // Appended, not "k" + std::to_string: GCC 12 reports a false
+      // -Wrestrict on the latter in Release.
+      std::string key = "k";
+      key += std::to_string(i % 1500);
       aggregator.Record(key, 1, i % 5);
       auto& entry = reference[key];
       entry.first += 1;

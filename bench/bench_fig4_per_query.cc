@@ -13,6 +13,14 @@
 namespace querc::bench {
 namespace {
 
+/// "Q<id>". Built by appending: GCC 12 reports a false -Wrestrict on
+/// `"Q" + std::to_string(id)` in Release.
+std::string TemplateLabel(int id) {
+  std::string label = "Q";
+  label += std::to_string(id);
+  return label;
+}
+
 int Main() {
   std::printf("=== Figure 4: per-query runtime, no indexes vs 3-minute "
               "indexes ===\n");
@@ -39,7 +47,7 @@ int Main() {
       {"query_index", "template", "no_indexes_s", "three_minute_indexes_s"});
   for (size_t i = 0; i < texts.size(); ++i) {
     series.AddRow({std::to_string(i),
-                   "Q" + std::to_string(tpch[i].template_id),
+                   TemplateLabel(tpch[i].template_id),
                    util::TableWriter::Num(no_index.per_query_seconds[i], 4),
                    util::TableWriter::Num(three_min.per_query_seconds[i], 4)});
   }
@@ -60,7 +68,7 @@ int Main() {
     }
     base /= kInstances;
     tuned /= kInstances;
-    table.AddRow({"Q" + std::to_string(t), std::to_string(first),
+    table.AddRow({TemplateLabel(t), std::to_string(first),
                   util::TableWriter::Num(base, 3),
                   util::TableWriter::Num(tuned, 3),
                   util::TableWriter::Num(tuned / base, 2)});

@@ -1,17 +1,19 @@
 // Scheduling-latency benchmark for the laned ThreadPool (DESIGN.md §17):
 // an open-loop interactive probe stream measures submit→start latency on
-// a small pool while a feeder keeps the batch lane flooded with sleepy
-// tasks. Three phases: unloaded (no flood), lanes ON (interactive probes
-// vs batch flood — the scheduler's whole point), lanes OFF baseline
-// (probes ride the SAME lane as the flood, i.e. the old single-FIFO
+// a small pool while the batch lane is flooded with sleepy work. Four
+// phases: unloaded (no flood), lanes ON (interactive probes vs a flood
+// of queued batch tasks — the scheduler's whole point), ParallelFor
+// flood (interactive probes vs back-to-back batch-lane ParallelFor
+// batches, whose helpers must yield between indices), lanes OFF baseline
+// (probes ride the SAME lane as the task flood, i.e. the old single-FIFO
 // behavior) — exported to BENCH_sched.json.
 //
 // With --smoke the run is truncated for CI and the process fails unless
-// the scheduling CONTRACT holds: lanes-on interactive p99 under the
-// flood stays within max(10x unloaded p99, 20 ms), the lanes-off
-// baseline violates that same bound (the flood really is heavy enough to
-// matter), no probe is lost, and the flood makes progress (batch is
-// starvation-bounded, not starved out). The flood tasks *sleep* rather
+// the scheduling CONTRACT holds: interactive p99 under either flood
+// stays within max(10x unloaded p99, 20 ms), the lanes-off baseline
+// violates that same bound (the flood really is heavy enough to matter),
+// no probe is lost, and both floods make progress (batch is
+// starvation-bounded, not starved out). The flood work *sleeps* rather
 // than spin, so queueing delay dominates and the contract is robust
 // under sanitizer slowdowns; the stricter perf gate — lanes-off p99 at
 // least 2x the lanes-on p99 — runs only when --no-perf-gate is absent,
@@ -53,24 +55,50 @@ double Percentile(std::vector<double>& samples, double q) {
   return samples[idx];
 }
 
+/// What keeps the batch lane busy during a phase.
+enum class Flood {
+  kNone,
+  /// `depth` queued sleep(1ms) tasks, topped up as they finish.
+  kTasks,
+  /// Back-to-back ParallelFor batches of `depth` sleep(1ms) indices from a
+  /// non-pool thread: each batch's helpers run on every worker at once.
+  kParallelFor,
+};
+
 struct PhaseResult {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   size_t samples = 0;        // probes that actually ran
-  size_t flood_started = 0;  // flood tasks that ran during the phase
+  size_t flood_started = 0;  // flood tasks or indices run during the phase
 };
 
+void SleepFloodTask() {
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(static_cast<int64_t>(kFloodTaskMs * 1000.0)));
+}
+
 /// Runs one probe phase: `probes` tasks submitted on `probe_lane` at
-/// `spacing_ms` intervals, each recording its own submit→start latency.
-/// With `flood_depth` > 0 a feeder keeps that many sleep(1ms) tasks
-/// outstanding on the batch lane for the whole phase.
+/// `spacing_ms` intervals, each recording its own submit→start latency,
+/// while a feeder thread floods the batch lane in the `flood` shape.
 PhaseResult RunPhase(ThreadPool& pool, Lane probe_lane, size_t probes,
-                     double spacing_ms, size_t flood_depth) {
+                     double spacing_ms, Flood flood, size_t flood_depth) {
   std::atomic<bool> stop{false};
   std::atomic<size_t> in_flight{0};
   std::atomic<size_t> flood_started{0};
   std::thread feeder;
-  if (flood_depth > 0) {
+  if (flood == Flood::kParallelFor) {
+    feeder = util::SpawnThread("sched-feeder", [&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        pool.ParallelFor(Lane::kBatch, flood_depth, [&](size_t) {
+          flood_started.fetch_add(1, std::memory_order_relaxed);
+          SleepFloodTask();
+        });
+      }
+    });
+    while (flood_started.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  } else if (flood == Flood::kTasks) {
     feeder = util::SpawnThread("sched-feeder", [&] {
       while (!stop.load(std::memory_order_relaxed)) {
         if (in_flight.load(std::memory_order_relaxed) >= flood_depth) {
@@ -80,8 +108,7 @@ PhaseResult RunPhase(ThreadPool& pool, Lane probe_lane, size_t probes,
         in_flight.fetch_add(1, std::memory_order_relaxed);
         pool.Submit(Lane::kBatch, [&] {
           flood_started.fetch_add(1, std::memory_order_relaxed);
-          std::this_thread::sleep_for(std::chrono::microseconds(
-              static_cast<int64_t>(kFloodTaskMs * 1000.0)));
+          SleepFloodTask();
           in_flight.fetch_sub(1, std::memory_order_relaxed);
         });
       }
@@ -112,7 +139,7 @@ PhaseResult RunPhase(ThreadPool& pool, Lane probe_lane, size_t probes,
 
   PhaseResult result;
   result.flood_started = flood_started.load(std::memory_order_relaxed);
-  if (flood_depth > 0) {
+  if (flood != Flood::kNone) {
     stop.store(true, std::memory_order_relaxed);
     feeder.join();
     pool.WaitIdle();  // drain the residual flood before the next phase
@@ -164,12 +191,15 @@ int Main(int argc, char** argv) {
               pool.num_threads(), flood_depth, kFloodTaskMs, on_probes,
               off_probes, spacing_ms);
 
-  PhaseResult unloaded =
-      RunPhase(pool, Lane::kInteractive, on_probes, spacing_ms, 0);
-  PhaseResult lanes_on =
-      RunPhase(pool, Lane::kInteractive, on_probes, spacing_ms, flood_depth);
-  PhaseResult lanes_off =
-      RunPhase(pool, Lane::kBatch, off_probes, spacing_ms, flood_depth);
+  PhaseResult unloaded = RunPhase(pool, Lane::kInteractive, on_probes,
+                                  spacing_ms, Flood::kNone, 0);
+  PhaseResult lanes_on = RunPhase(pool, Lane::kInteractive, on_probes,
+                                  spacing_ms, Flood::kTasks, flood_depth);
+  PhaseResult parallel_for =
+      RunPhase(pool, Lane::kInteractive, on_probes, spacing_ms,
+               Flood::kParallelFor, flood_depth);
+  PhaseResult lanes_off = RunPhase(pool, Lane::kBatch, off_probes, spacing_ms,
+                                   Flood::kTasks, flood_depth);
 
   const double bound_ms = std::max(10.0 * unloaded.p99_ms, 20.0);
   std::printf("  unloaded:  p50 %.3f ms, p99 %.3f ms (%zu probes)\n",
@@ -178,6 +208,10 @@ int Main(int argc, char** argv) {
               "flood tasks ran)\n",
               lanes_on.p50_ms, lanes_on.p99_ms, lanes_on.samples,
               lanes_on.flood_started);
+  std::printf("  ParallelFor flood: p50 %.3f ms, p99 %.3f ms (%zu probes, "
+              "%zu flood indices ran)\n",
+              parallel_for.p50_ms, parallel_for.p99_ms, parallel_for.samples,
+              parallel_for.flood_started);
   std::printf("  lanes OFF: p50 %.3f ms, p99 %.3f ms (%zu probes, %zu "
               "flood tasks ran)\n",
               lanes_off.p50_ms, lanes_off.p99_ms, lanes_off.samples,
@@ -190,8 +224,9 @@ int Main(int argc, char** argv) {
     // backlog deepens.
     for (size_t depth : {size_t{32}, size_t{96}, size_t{192}}) {
       PhaseResult on = RunPhase(pool, Lane::kInteractive, 120, spacing_ms,
-                                depth);
-      PhaseResult off = RunPhase(pool, Lane::kBatch, 30, spacing_ms, depth);
+                                Flood::kTasks, depth);
+      PhaseResult off =
+          RunPhase(pool, Lane::kBatch, 30, spacing_ms, Flood::kTasks, depth);
       std::printf("  depth %3zu: interactive p99 %.3f ms | same-lane p99 "
                   "%.3f ms\n",
                   depth, on.p99_ms, off.p99_ms);
@@ -218,6 +253,8 @@ int Main(int argc, char** argv) {
       "Probe submit-to-start p99 per phase, ms", unloaded.p99_ms);
   set("bench_sched_p99_ms", {{"phase", "loaded_lanes_on"}}, "",
       lanes_on.p99_ms);
+  set("bench_sched_p99_ms", {{"phase", "loaded_parallel_for"}}, "",
+      parallel_for.p99_ms);
   set("bench_sched_p99_ms", {{"phase", "loaded_lanes_off"}}, "",
       lanes_off.p99_ms);
   set("bench_sched_bound_ms", {},
@@ -227,12 +264,15 @@ int Main(int argc, char** argv) {
       static_cast<double>(lanes_on.flood_started));
 
   // Contract (every config, sanitizers included): the lanes keep the
-  // interactive tail bounded, the same flood breaks the same-lane
-  // baseline, nothing is lost, and the batch lane still made progress.
+  // interactive tail bounded under both flood shapes, the task flood
+  // breaks the same-lane baseline, nothing is lost, and the batch lane
+  // still made progress.
   bool contract_ok =
       unloaded.samples == on_probes && lanes_on.samples == on_probes &&
-      lanes_off.samples == off_probes && lanes_on.p99_ms <= bound_ms &&
-      lanes_off.p99_ms > bound_ms && lanes_on.flood_started > 0;
+      parallel_for.samples == on_probes && lanes_off.samples == off_probes &&
+      lanes_on.p99_ms <= bound_ms && parallel_for.p99_ms <= bound_ms &&
+      lanes_off.p99_ms > bound_ms && lanes_on.flood_started > 0 &&
+      parallel_for.flood_started > 0;
   set("bench_sched_contract_ok", {},
       "1 when the lane-scheduling contract held", contract_ok ? 1.0 : 0.0);
 
@@ -248,12 +288,13 @@ int Main(int argc, char** argv) {
 
   if (!contract_ok) {
     std::fprintf(stderr,
-                 "FAIL: scheduling contract (lanes_on p99 %.3f ms vs bound "
-                 "%.3f ms, lanes_off p99 %.3f ms, probes %zu/%zu/%zu, "
-                 "flood %zu)\n",
-                 lanes_on.p99_ms, bound_ms, lanes_off.p99_ms,
-                 unloaded.samples, lanes_on.samples, lanes_off.samples,
-                 lanes_on.flood_started);
+                 "FAIL: scheduling contract (lanes_on p99 %.3f ms, "
+                 "parallel_for p99 %.3f ms vs bound %.3f ms, lanes_off p99 "
+                 "%.3f ms, probes %zu/%zu/%zu/%zu, flood %zu/%zu)\n",
+                 lanes_on.p99_ms, parallel_for.p99_ms, bound_ms,
+                 lanes_off.p99_ms, unloaded.samples, lanes_on.samples,
+                 parallel_for.samples, lanes_off.samples,
+                 lanes_on.flood_started, parallel_for.flood_started);
     return 1;
   }
   if (perf_gate) {

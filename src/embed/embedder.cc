@@ -1,6 +1,7 @@
 #include "embed/embedder.h"
 
 #include <atomic>
+#include <map>
 
 #include "obs/trace.h"
 #include "sql/lexer.h"
@@ -25,13 +26,31 @@ Embedder::Embedder(Embedder&&) noexcept : instance_id_(NextInstanceId()) {}
 std::vector<nn::Vec> Embedder::EmbedBatch(
     const std::vector<std::vector<std::string>>& docs, util::ThreadPool* pool,
     util::Lane lane) const {
-  std::vector<nn::Vec> vectors(docs.size());
-  if (pool != nullptr && docs.size() > 1) {
-    pool->ParallelFor(lane, docs.size(),
-                      [&](size_t i) { vectors[i] = Embed(docs[i]); });
-  } else {
-    for (size_t i = 0; i < docs.size(); ++i) vectors[i] = Embed(docs[i]);
+  // Embed is a pure function of the tokens, so each distinct token list is
+  // embedded once and its vector copied to the duplicates. Identity is
+  // exact equality of the lists, never a hash of them.
+  using Doc = std::vector<std::string>;
+  auto less = [](const Doc* a, const Doc* b) { return *a < *b; };
+  std::map<const Doc*, size_t, decltype(less)> slot_of(less);
+  std::vector<const Doc*> distinct;
+  std::vector<size_t> slot(docs.size());
+  for (size_t i = 0; i < docs.size(); ++i) {
+    auto [it, inserted] = slot_of.emplace(&docs[i], distinct.size());
+    if (inserted) distinct.push_back(&docs[i]);
+    slot[i] = it->second;
   }
+  std::vector<nn::Vec> unique(distinct.size());
+  if (pool != nullptr && distinct.size() > 1) {
+    pool->ParallelFor(lane, distinct.size(),
+                      [&](size_t u) { unique[u] = Embed(*distinct[u]); });
+  } else {
+    for (size_t u = 0; u < distinct.size(); ++u) {
+      unique[u] = Embed(*distinct[u]);
+    }
+  }
+  std::vector<nn::Vec> vectors;
+  vectors.reserve(docs.size());
+  for (size_t s : slot) vectors.push_back(unique[s]);
   return vectors;
 }
 

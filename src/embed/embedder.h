@@ -57,13 +57,14 @@ class Embedder {
   virtual nn::Vec Embed(const std::vector<std::string>& words) const = 0;
 
   /// Embeds many tokenized documents; returns one vector per doc, in
-  /// order. The default runs Embed() per doc — in parallel via
-  /// `pool->ParallelFor` when `pool` is non-null (Embed is const and
-  /// thread-safe in every implementation), serially otherwise. The pool
-  /// tasks ride `lane` — batch by default, since corpus embedding is
-  /// training/advisor churn that must not queue ahead of predict traffic
-  /// on a shared pool. Implementations with a cheaper batch form may
-  /// override.
+  /// order. The default runs Embed() once per distinct token list (exact
+  /// equality; Embed is a pure function of its tokens) and copies the
+  /// vector to the duplicates — in parallel via `pool->ParallelFor` when
+  /// `pool` is non-null (Embed is const and thread-safe in every
+  /// implementation), serially otherwise. The pool tasks ride `lane` —
+  /// batch by default, since corpus embedding is training/advisor churn
+  /// that must not queue ahead of predict traffic on a shared pool.
+  /// Implementations with a cheaper batch form may override.
   virtual std::vector<nn::Vec> EmbedBatch(
       const std::vector<std::vector<std::string>>& docs,
       util::ThreadPool* pool = nullptr,

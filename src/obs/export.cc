@@ -100,9 +100,14 @@ std::string JsonLabels(const Labels& labels) {
   for (const auto& [key, value] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + EscapeJson(key) + "\":\"" + EscapeJson(value) + "\"";
+    out += '"';
+    out += EscapeJson(key);
+    out += "\":\"";
+    out += EscapeJson(value);
+    out += '"';
   }
-  return out + "}";
+  out += '}';
+  return out;
 }
 
 }  // namespace

@@ -60,9 +60,7 @@ class LexerImpl {
         ++pos_;
         size_t s = pos_;
         while (pos_ < text_.size() && IsIdentChar(text_[pos_])) ++pos_;
-        tokens.push_back({TokenType::kParameter,
-                          "@" + std::string(text_.substr(s, pos_ - s)),
-                          start});
+        tokens.push_back({TokenType::kParameter, SigilText('@', s), start});
       } else if (c == '$' && traits_.dollar_parameters &&
                  std::isdigit(static_cast<unsigned char>(Peek(1)))) {
         ++pos_;
@@ -71,9 +69,7 @@ class LexerImpl {
                std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
           ++pos_;
         }
-        tokens.push_back({TokenType::kParameter,
-                          "$" + std::string(text_.substr(s, pos_ - s)),
-                          start});
+        tokens.push_back({TokenType::kParameter, SigilText('$', s), start});
       } else if (LexOperatorOrPunct(tokens, start)) {
         // handled
       } else if (lenient_) {
@@ -90,6 +86,14 @@ class LexerImpl {
  private:
   char Peek(size_t ahead) const {
     return pos_ + ahead < text_.size() ? text_[pos_ + ahead] : '\0';
+  }
+
+  /// `sigil` followed by text_[s, pos_). Built by appending: GCC 12
+  /// reports a false -Wrestrict on `"@" + std::string` in Release.
+  std::string SigilText(char sigil, size_t s) const {
+    std::string out(1, sigil);
+    out.append(text_.substr(s, pos_ - s));
+    return out;
   }
 
   void LexLineComment(TokenList& tokens, size_t start) {

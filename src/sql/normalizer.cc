@@ -67,10 +67,16 @@ std::vector<std::string> Normalize(const TokenList& tokens,
         // Re-quote (re-escaping embedded quotes the lexer unescaped) so
         // the normalized form stays lexable and `'O''Brien'` cannot
         // collide with identifier text.
-        words.push_back(options.fold_literals
-                            ? kStringPlaceholder
-                            : "'" + util::ReplaceAll(t.text, "'", "''") +
-                                  "'");
+        if (options.fold_literals) {
+          words.push_back(kStringPlaceholder);
+        } else {
+          // Appends, not "'" + std::string: GCC 12 reports a false
+          // -Wrestrict on the latter in Release.
+          std::string quoted(1, '\'');
+          quoted += util::ReplaceAll(t.text, "'", "''");
+          quoted += '\'';
+          words.push_back(std::move(quoted));
+        }
         break;
       case TokenType::kParameter:
         words.push_back(options.fold_parameters ? kParamPlaceholder : t.text);

@@ -129,18 +129,26 @@ void RunTaskBody(const std::function<void()>& fn, Lane lane) {
   LaneTaskCounter(lane).Increment();
 }
 
+}  // namespace
+
 /// Shared state of one ParallelFor batch. Heap-allocated and owned via
 /// shared_ptr by every shard task *and* the caller, so a worker that
 /// wakes up after the batch already drained (its `next` fetch returns
 /// >= n) still touches valid memory.
-struct Batch {
-  explicit Batch(size_t total, const std::function<void(size_t)>& f)
-      : n(total), fn(f), ctx(obs::CurrentContext()) {}
+struct ThreadPool::Batch {
+  Batch(size_t total, const std::function<void(size_t)>& f,
+        const TaskOptions& task_opts)
+      : n(total), fn(f), opts(task_opts), ctx(obs::CurrentContext()) {}
+
+  /// How one RunShard call ended.
+  enum class ShardEnd { kExhausted, kFinished, kYielded };
 
   const size_t n;
   /// The caller blocks until the batch drains, so the reference stays
   /// valid for exactly as long as any shard can dereference it.
   const std::function<void(size_t)>& fn;
+  /// Lane and deadline of every helper, replacements included.
+  const TaskOptions opts;
   /// The caller's trace context at batch creation; every shard adopts it
   /// so spans recorded inside `fn` carry the caller's trace id even when
   /// they run on pool threads.
@@ -151,14 +159,14 @@ struct Batch {
   CondVar cv;
   std::exception_ptr error GUARDED_BY(mu);  // first exception wins
 
-  /// Claims indices until the batch is exhausted. Returns true if this
-  /// call finished the batch (done hit n).
-  bool RunShard() EXCLUDES(mu) {
+  /// Claims and runs indices until the batch is exhausted, or until
+  /// `should_yield()`, asked after each index, returns true.
+  template <typename YieldFn>
+  ShardEnd RunShard(YieldFn should_yield) EXCLUDES(mu) {
     obs::ScopedTraceContext adopt(ctx);
-    bool finished = false;
     for (;;) {
       size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
+      if (i >= n) return ShardEnd::kExhausted;
       try {
         fn(i);
       } catch (...) {
@@ -166,10 +174,10 @@ struct Batch {
         if (!error) error = std::current_exception();
       }
       if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-        finished = true;
+        return ShardEnd::kFinished;
       }
+      if (should_yield()) return ShardEnd::kYielded;
     }
-    return finished;
   }
 
   void NotifyDone() EXCLUDES(mu) {
@@ -179,8 +187,6 @@ struct Batch {
     cv.NotifyAll();
   }
 };
-
-}  // namespace
 
 namespace {
 ThreadPool::Options LegacyOptions(size_t num_threads) {
@@ -272,6 +278,7 @@ void ThreadPool::PushTaskLocked(QueuedTask task) {
   // concurrent scrape can never see the depth negative or overshot.
   QueueDepthGauge().Add(1.0);
   LaneDepthGauge(task.lane).Add(1.0);
+  queued_[LaneIndex(task.lane)].fetch_add(1, std::memory_order_relaxed);
   queues_[LaneIndex(task.lane)].push_back(std::move(task));
   ++queued_total_;
 }
@@ -280,6 +287,7 @@ void ThreadPool::PopAccountingLocked(const QueuedTask& task) {
   if (task.deadline_us != kNoDeadline) --deadlined_;
   QueueDepthGauge().Add(-1.0);
   LaneDepthGauge(task.lane).Add(-1.0);
+  queued_[LaneIndex(task.lane)].fetch_sub(1, std::memory_order_relaxed);
   --queued_total_;
 }
 
@@ -327,8 +335,7 @@ size_t ThreadPool::PickLaneLocked() {
 }
 
 size_t ThreadPool::queue_depth(Lane lane) const {
-  MutexLock lock(&mu_);
-  return queues_[LaneIndex(lane)].size();
+  return queued_[LaneIndex(lane)].load(std::memory_order_relaxed);
 }
 
 void ThreadPool::WaitIdle() {
@@ -351,27 +358,19 @@ void ThreadPool::ParallelFor(Lane lane, size_t n,
 void ThreadPool::ParallelFor(const TaskOptions& opts, size_t n,
                              const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  auto batch = std::make_shared<Batch>(n, fn);
+  auto batch = std::make_shared<Batch>(n, fn, opts);
   // One helper per pool thread beyond the caller; never more than n - 1
   // since the caller takes a share of the loop itself. The batch adopts
   // the caller's trace context itself, so helpers bypass Submit's wrap.
   size_t helpers = std::min(n - 1, threads_.size());
-  for (size_t s = 0; s < helpers; ++s) {
-    QueuedTask task;
-    task.fn = [batch] {
-      if (batch->RunShard()) batch->NotifyDone();
-    };
-    task.lane = opts.lane;
-    task.deadline_us = opts.deadline_us;
-    task.batch_tag = batch.get();
-    task.batch_claimed = &batch->next;
-    task.batch_n = n;
-    SubmitTask(std::move(task));
+  for (size_t s = 0; s < helpers; ++s) SubmitTask(HelperTask(batch));
+  // The calling thread participates and never yields: if it is itself a
+  // pool worker (a nested ParallelFor) or every worker is busy elsewhere,
+  // it can drain the entire batch alone — no deadlock. It may also hold
+  // locks that higher-lane work needs.
+  if (batch->RunShard([] { return false; }) == Batch::ShardEnd::kFinished) {
+    batch->NotifyDone();
   }
-  // The calling thread participates: if it is itself a pool worker (a
-  // nested ParallelFor) or every worker is busy elsewhere, it can drain
-  // the entire batch alone — no deadlock.
-  if (batch->RunShard()) batch->NotifyDone();
   {
     MutexLock lock(&batch->mu);
     batch->cv.Wait(batch->mu, [&]() REQUIRES(batch->mu) {
@@ -390,11 +389,51 @@ void ThreadPool::ParallelFor(const TaskOptions& opts, size_t n,
   }
 }
 
-void ThreadPool::PurgeBatch(const void* tag) {
+ThreadPool::QueuedTask ThreadPool::HelperTask(
+    const std::shared_ptr<Batch>& batch) {
+  QueuedTask task;
+  task.fn = [this, batch] { RunHelper(batch); };
+  task.lane = batch->opts.lane;
+  task.deadline_us = batch->opts.deadline_us;
+  task.batch = batch.get();
+  return task;
+}
+
+void ThreadPool::RunHelper(const std::shared_ptr<Batch>& batch) {
+  // Yield when a strictly higher lane has queued work. No lane outranks
+  // interactive, so interactive helpers never yield.
+  auto higher_lane_queued = [this, lane = LaneIndex(batch->opts.lane)] {
+    for (size_t l = 0; l < lane; ++l) {
+      if (queued_[l].load(std::memory_order_relaxed) > 0) return true;
+    }
+    return false;
+  };
+  switch (batch->RunShard(higher_lane_queued)) {
+    case Batch::ShardEnd::kFinished:
+      batch->NotifyDone();
+      return;
+    case Batch::ShardEnd::kExhausted:
+      return;
+    case Batch::ShardEnd::kYielded:
+      break;
+  }
+  QueuedTask replacement = HelperTask(batch);
+  MutexLock lock(&mu_);
+  // Checked under mu_: once every index is claimed the caller may have
+  // purged this batch already, and a replacement pushed now would stay
+  // behind as a stale closure.
+  if (batch->next.load(std::memory_order_relaxed) >= batch->n) return;
+  // Straight onto the queue, past lane_capacity: running the replacement
+  // inline would defeat the yield.
+  PushTaskLocked(std::move(replacement));
+  work_cv_.NotifyOne();
+}
+
+void ThreadPool::PurgeBatch(const Batch* batch) {
   MutexLock lock(&mu_);
   for (auto& queue : queues_) {
     for (auto it = queue.begin(); it != queue.end();) {
-      if (it->batch_tag == tag) {
+      if (it->batch == batch) {
         PopAccountingLocked(*it);
         it = queue.erase(it);
       } else {
@@ -430,9 +469,9 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
     // Stale-helper fast path: a ParallelFor helper whose batch already
     // claimed every index would run as a no-op; skip the call entirely
     // (the shared_ptr in task.fn still releases its batch reference).
-    bool stale = task.batch_claimed != nullptr &&
-                 task.batch_claimed->load(std::memory_order_acquire) >=
-                     task.batch_n;
+    bool stale = task.batch != nullptr &&
+                 task.batch->next.load(std::memory_order_acquire) >=
+                     task.batch->n;
     if (!stale) RunTaskBody(task.fn, task.lane);
     {
       MutexLock lock(&mu_);

@@ -8,6 +8,7 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -42,12 +43,23 @@ namespace querc::util {
 ///     runs the task inline on the submitting thread (caller-runs
 ///     backpressure — never dropped, never unbounded) and counts it in
 ///     querc_threadpool_lane_overflow_total{lane=}.
+///   - Yielding helpers: lanes order running batch work too, not only the
+///     queue. After each index it runs, a normal- or batch-lane
+///     ParallelFor helper checks whether a strictly higher lane has queued
+///     work; if so it stops claiming and queues one replacement helper at
+///     the back of its own lane (bypassing `lane_capacity`). A queued
+///     higher-lane task therefore waits for at most one index per worker.
+///     Every dispatch runs at least one index, so the starvation bound
+///     still guarantees batch progress. The caller's own share never
+///     yields (it may hold locks, and it guarantees completion), and
+///     interactive-lane batches have nothing to yield to.
 ///
 /// Telemetry: querc_threadpool_queue_depth / _task_ms / _tasks_total each
 /// exist unlabeled (pool-wide, back-compat) and per lane ({lane=...});
 /// gauge updates happen under the queue mutex, in the same critical
 /// section as the queue mutation, so a concurrent scrape can never
-/// observe a negative or overshot depth.
+/// observe a negative or overshot depth. A re-dispatched helper is a new
+/// task and counts again in _tasks_total.
 ///
 /// Concurrency contract (unchanged from the FIFO pool):
 ///   - `Submit` tasks must not throw; an escaping exception is caught and
@@ -56,9 +68,10 @@ namespace querc::util {
 ///     calling thread participates, so nested ParallelFor (any lane mix)
 ///     and concurrent batches are deadlock-free. Helper closures whose
 ///     batch was fully claimed before they were dequeued are skipped
-///     without running, and helpers still queued when the batch drains
-///     are purged — a caller-drained batch leaves the queues exactly as
-///     it found them.
+///     without running, helpers still queued when the batch drains are
+///     purged, and a yielding helper's replacement is dropped once every
+///     index is claimed — a caller-drained batch leaves the queues exactly
+///     as it found them.
 ///   - The first exception thrown by `fn` in a ParallelFor batch is
 ///     rethrown on the calling thread after the batch completes.
 class ThreadPool {
@@ -128,8 +141,8 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// Tasks currently queued (not yet running) on `lane`.
-  size_t queue_depth(Lane lane) const EXCLUDES(mu_);
+  /// Tasks currently queued (not yet running) on `lane`. Lock-free.
+  size_t queue_depth(Lane lane) const;
 
   /// Microseconds on the pool's clock (steady clock unless injected).
   int64_t NowUs() const;
@@ -145,26 +158,29 @@ class ThreadPool {
 
   /// Runs `fn(i)` for i in [0, n) across the pool and the calling thread,
   /// returning when all n calls have finished. Helper tasks are queued
-  /// with `opts` (lane + deadline). The callable is shared by all
-  /// workers; it must be thread-safe. Safe to call from inside a pool
-  /// worker (the caller participates) and concurrently from several
-  /// threads (each batch has its own completion latch). Rethrows the
-  /// first exception thrown by `fn` once the batch has drained.
+  /// with `opts` (lane + deadline) and yield between indices to queued
+  /// higher-lane work; the calling thread's share runs until the batch
+  /// is exhausted. The callable is shared by all workers; it must be
+  /// thread-safe. Safe to call from inside a pool worker (the caller
+  /// participates) and concurrently from several threads (each batch has
+  /// its own completion latch). Rethrows the first exception thrown by
+  /// `fn` once the batch has drained.
   void ParallelFor(const TaskOptions& opts, size_t n,
                    const std::function<void(size_t)>& fn) EXCLUDES(mu_);
 
  private:
+  /// Shared state of one ParallelFor batch (defined in thread_pool.cc).
+  struct Batch;
+
   /// One queued closure plus its scheduling state. Batch helpers carry
-  /// their batch's claim counter so a worker (or the purge path) can
-  /// skip them once every index is claimed — the closure keeps the batch
-  /// alive, so the raw pointer is valid for the task's lifetime.
+  /// their batch so a worker (or the purge path) can skip them once every
+  /// index is claimed — the closure keeps the batch alive, so the raw
+  /// pointer is valid for the task's lifetime.
   struct QueuedTask {
     std::function<void()> fn;
     Lane lane = Lane::kNormal;
     int64_t deadline_us = kNoDeadline;
-    const void* batch_tag = nullptr;
-    const std::atomic<size_t>* batch_claimed = nullptr;
-    size_t batch_n = 0;
+    const Batch* batch = nullptr;
   };
 
   void SubmitTask(QueuedTask task) EXCLUDES(mu_);
@@ -175,8 +191,14 @@ class ThreadPool {
   size_t PickLaneLocked() REQUIRES(mu_);
   /// Accounts one task leaving `lane`'s queue (gauges under the lock).
   void PopAccountingLocked(const QueuedTask& task) REQUIRES(mu_);
-  /// Removes still-queued helpers of the drained batch `tag`.
-  void PurgeBatch(const void* tag) EXCLUDES(mu_);
+  /// A helper task for `batch`, queued with the batch's lane and deadline.
+  QueuedTask HelperTask(const std::shared_ptr<Batch>& batch);
+  /// Helper body: claims indices of `batch`; on yielding to higher-lane
+  /// work, queues a replacement at the back of the batch's lane unless
+  /// every index is already claimed.
+  void RunHelper(const std::shared_ptr<Batch>& batch) EXCLUDES(mu_);
+  /// Removes still-queued helpers of the drained `batch`.
+  void PurgeBatch(const Batch* batch) EXCLUDES(mu_);
   void WorkerLoop(size_t worker_index) EXCLUDES(mu_);
 
   Options options_;
@@ -184,6 +206,9 @@ class ThreadPool {
   CondVar work_cv_;
   CondVar idle_cv_;
   std::array<std::deque<QueuedTask>, kNumLanes> queues_ GUARDED_BY(mu_);
+  /// queues_[lane].size(), written under mu_ beside the gauges and read
+  /// without it by queue_depth() and by a helper's yield check.
+  std::array<std::atomic<size_t>, kNumLanes> queued_{};
   size_t queued_total_ GUARDED_BY(mu_) = 0;
   /// Queued tasks carrying a real deadline — lets the dispatch path skip
   /// the clock read entirely when nothing can escalate.

@@ -4,15 +4,20 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "embed/doc2vec.h"
 #include "embed/feature_embedder.h"
+#include "embed/lstm_autoencoder.h"
+#include "embed/tfidf_embedder.h"
 #include "ml/knn.h"
 #include "querc/qworker.h"
 #include "querc/qworker_pool.h"
+#include "util/thread_pool.h"
 #include "workload/workload.h"
 
 namespace querc::embed {
@@ -339,6 +344,89 @@ TEST(EmbedCacheTest, ConcurrentDoc2VecEmbedIsRaceFreeAndDeterministic) {
   }
   for (auto& th : threads) th.join();
   EXPECT_FALSE(mismatch.load());
+}
+
+// ---------------------------------------------------------------------
+// EmbedBatch: one Embed per distinct token list.
+
+/// 24 documents over 4 distinct token lists. The fourth reorders the
+/// first one's tokens: identity is exact list equality, not a multiset.
+std::vector<std::vector<std::string>> CorpusWithDuplicates() {
+  const std::vector<std::vector<std::string>> distinct = {
+      {"SELECT", "a", "FROM", "t", "WHERE", "b", "=", "<num>"},
+      {"INSERT", "INTO", "u", "VALUES", "(", "<num>", ")"},
+      {"SELECT", "count", "(", "*", ")", "FROM", "t", "GROUP", "BY", "a"},
+      {"FROM", "t", "SELECT", "a", "WHERE", "b", "=", "<num>"},
+  };
+  std::vector<std::vector<std::string>> docs;
+  for (size_t i = 0; i < 24; ++i) docs.push_back(distinct[(i * 7) % 4]);
+  return docs;
+}
+
+bool BitIdentical(const nn::Vec& a, const nn::Vec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(EmbedBatchTest, EmbedsEachDistinctTokenListOnce) {
+  const auto docs = CorpusWithDuplicates();
+  util::ThreadPool pool(2);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    CountingEmbedder embedder;
+    std::vector<nn::Vec> out = embedder.EmbedBatch(docs, p);
+    EXPECT_EQ(embedder.calls.load(), 4) << (p ? "pool" : "serial");
+    ASSERT_EQ(out.size(), docs.size());
+    for (size_t i = 0; i < docs.size(); ++i) {
+      EXPECT_EQ(out[i], embedder.Embed(docs[i])) << i;
+    }
+  }
+}
+
+TEST(EmbedBatchTest, DedupedOutputMatchesPerDocumentEmbedBitForBit) {
+  const auto docs = CorpusWithDuplicates();
+  Doc2VecEmbedder::Options doc2vec;
+  doc2vec.dim = 8;
+  doc2vec.epochs = 2;
+  doc2vec.min_count = 1;
+  LstmAutoencoderEmbedder::Options lstm;
+  lstm.hidden_dim = 8;
+  lstm.token_dim = 6;
+  lstm.epochs = 2;
+  lstm.min_count = 1;
+  std::vector<std::unique_ptr<Embedder>> embedders;
+  embedders.push_back(std::make_unique<Doc2VecEmbedder>(doc2vec));
+  embedders.push_back(std::make_unique<LstmAutoencoderEmbedder>(lstm));
+  embedders.push_back(std::make_unique<TfidfEmbedder>(TfidfEmbedder::Options{}));
+  embedders.push_back(
+      std::make_unique<FeatureEmbedder>(FeatureEmbedder::Options{}));
+  util::ThreadPool pool(2);
+  for (const auto& embedder : embedders) {
+    ASSERT_TRUE(embedder->Train(docs).ok()) << embedder->name();
+    for (util::ThreadPool* p :
+         {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+      std::vector<nn::Vec> batched = embedder->EmbedBatch(docs, p);
+      ASSERT_EQ(batched.size(), docs.size());
+      for (size_t i = 0; i < docs.size(); ++i) {
+        EXPECT_TRUE(BitIdentical(batched[i], embedder->Embed(docs[i])))
+            << embedder->name() << " doc " << i;
+      }
+    }
+  }
+}
+
+TEST(EmbedBatchTest, AllDistinctCorpusKeepsItsOrder) {
+  std::vector<std::vector<std::string>> docs;
+  for (size_t i = 0; i < 12; ++i) {
+    docs.push_back({"SELECT", std::string(i + 1, 'c'), "FROM", "t"});
+  }
+  util::ThreadPool pool(2);
+  CountingEmbedder embedder;
+  std::vector<nn::Vec> out = embedder.EmbedBatch(docs, &pool);
+  EXPECT_EQ(embedder.calls.load(), 12);
+  ASSERT_EQ(out.size(), docs.size());
+  for (size_t i = 0; i < docs.size(); ++i) {
+    EXPECT_EQ(out[i], embedder.Embed(docs[i])) << i;
+  }
 }
 
 // ---------------------------------------------------------------------

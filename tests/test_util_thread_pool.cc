@@ -1,7 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -435,12 +437,144 @@ TEST(ThreadPoolLaneTest, PublishesPerLaneTelemetry) {
             7u);
 }
 
+// Regression: a batch-lane ParallelFor helper used to claim indices until
+// its batch drained, so lanes ordered only the queue and an interactive
+// task waited out the whole batch. A helper now yields after the index it
+// is running whenever a higher lane has queued work.
+TEST(ThreadPoolLaneTest, BatchHelperYieldsToInteractiveBetweenIndices) {
+  ThreadPool pool(1);
+  std::atomic<int> seq{0};
+  std::atomic<bool> helper_started{false};
+  std::atomic<bool> interactive_ran{false};
+  int interactive_pos = -1;
+  std::thread driver([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.ParallelFor(Lane::kBatch, 8, [&](size_t) {
+      if (std::this_thread::get_id() == caller) {
+        // Hold the caller's share on its first index, so every other
+        // index is the worker's to claim.
+        while (!interactive_ran.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        return;
+      }
+      if (seq.fetch_add(1) == 0) {
+        // The worker's first index finishes only once the interactive
+        // task is queued behind it.
+        helper_started.store(true, std::memory_order_release);
+        while (pool.queue_depth(Lane::kInteractive) == 0) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  });
+  while (!helper_started.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  pool.Submit(Lane::kInteractive, [&] {
+    interactive_pos = seq.fetch_add(1);
+    interactive_ran.store(true, std::memory_order_release);
+  });
+  driver.join();
+  // The worker ran one index (position 0), then the interactive task —
+  // not the six other indices still unclaimed.
+  EXPECT_EQ(interactive_pos, 1);
+}
+
+// A yielded helper leaves a replacement queued on its lane; the caller
+// draining the batch must purge it, so every lane is empty the moment
+// ParallelFor returns.
+TEST(ThreadPoolLaneTest, YieldedBatchLeavesEveryLaneEmpty) {
+  ThreadPool pool(1);
+  std::atomic<bool> helper_started{false};
+  std::atomic<bool> release_caller{false};
+  std::array<size_t, kNumLanes> depth_at_return{};
+  std::thread driver([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.ParallelFor(Lane::kBatch, 8, [&](size_t) {
+      if (std::this_thread::get_id() == caller) {
+        while (!release_caller.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+      } else if (!helper_started.exchange(true)) {
+        // Wait for the gate's blocker, a normal-lane task, to queue.
+        while (pool.queue_depth(Lane::kNormal) == 0) {
+          std::this_thread::yield();
+        }
+      }
+    });
+    for (size_t l = 0; l < kNumLanes; ++l) {
+      depth_at_return[l] = pool.queue_depth(static_cast<Lane>(l));
+    }
+  });
+  while (!helper_started.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  // The helper yields to the gate's blocker, which then pins the only
+  // worker; the replacement helper stays queued behind it.
+  Gate gate(&pool, 1);
+  EXPECT_EQ(pool.queue_depth(Lane::kBatch), 1u);
+  release_caller.store(true, std::memory_order_release);
+  driver.join();
+  for (size_t l = 0; l < kNumLanes; ++l) {
+    EXPECT_EQ(depth_at_return[l], 0u) << LaneName(static_cast<Lane>(l));
+  }
+  gate.Open();
+  pool.WaitIdle();
+}
+
+// Under a sustained interactive flood, batch helpers yield on almost every
+// index; the batch must still run each index exactly once and rethrow
+// its first exception.
+TEST(ThreadPoolLaneTest, YieldingBatchRunsEveryIndexOnceUnderFlood) {
+  ThreadPool pool(2);
+  std::atomic<bool> stop{false};
+  std::thread flood([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      if (pool.queue_depth(Lane::kInteractive) < 4) {
+        pool.Submit(Lane::kInteractive, [] {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        });
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  constexpr size_t kIndices = 300;
+  std::vector<std::atomic<int>> hits(kIndices);
+  try {
+    pool.ParallelFor(Lane::kBatch, kIndices, [&hits](size_t i) {
+      hits[i].fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      if (i == 17) throw std::runtime_error("index 17 failed");
+    });
+    ADD_FAILURE() << "expected ParallelFor to rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 17 failed");
+  }
+  stop.store(true, std::memory_order_release);
+  flood.join();
+  pool.WaitIdle();
+  for (size_t i = 0; i < kIndices; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
 // TSan stress: mixed-lane submissions and nested cross-lane batches from
 // several threads at once exercise every queue/gauge/latch path under
-// the race detector.
+// the race detector. An interactive flood makes normal- and batch-lane
+// helpers yield, so replacement helpers race their callers' purges.
 TEST(ThreadPoolLaneTest, MixedLaneStress) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> flooded{0};
+  std::thread flood([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      if (pool.queue_depth(Lane::kInteractive) < 8) {
+        pool.Submit(Lane::kInteractive, [&flooded] { flooded.fetch_add(1); });
+      }
+      std::this_thread::yield();
+    }
+  });
   std::vector<std::thread> drivers;
   drivers.reserve(4);
   for (int t = 0; t < 4; ++t) {
@@ -456,8 +590,14 @@ TEST(ThreadPoolLaneTest, MixedLaneStress) {
     });
   }
   for (auto& d : drivers) d.join();
+  stop.store(true, std::memory_order_release);
+  flood.join();
   pool.WaitIdle();
   EXPECT_EQ(total.load(), 4 * 30 + 4 * 10 * 8);
+  EXPECT_GT(flooded.load(), 0);
+  for (size_t l = 0; l < kNumLanes; ++l) {
+    EXPECT_EQ(pool.queue_depth(static_cast<Lane>(l)), 0u);
+  }
 }
 
 }  // namespace

@@ -4,16 +4,20 @@
 #   plain   : -DQUERC_WERROR=ON                   (the tier-1 configuration)
 #   asan    : -DQUERC_SANITIZE=address,undefined  (combined ASan+UBSan)
 #   tsan    : -DQUERC_SANITIZE=thread
+#   release : -DCMAKE_BUILD_TYPE=Release -DQUERC_WERROR=ON — the
+#             configuration users deploy, where the optimizer raises
+#             warnings (GCC's -Wrestrict) the other legs never see. Build
+#             and ctest only; the smokes run in the legs above.
 #   tsafety : -DQUERC_THREAD_SAFETY=ON, compiled with clang — the static
 #             thread-safety-analysis leg (-Werror=thread-safety). Build
 #             only, no runtime smokes; skipped gracefully when clang++ is
 #             not on PATH, mirroring run_clang_tidy.sh.
 #
 # Each configuration gets its own build directory (build/, build-asan/,
-# build-tsan/, build-tsafety/) so incremental rebuilds stay cheap.
-# Configurations can be subset via QUERC_VERIFY_CONFIGS ("plain asan tsan
-# tsafety" by default), and the ctest filter via QUERC_VERIFY_TESTS (-R
-# pattern, default: everything).
+# build-tsan/, build-release/, build-tsafety/) so incremental rebuilds
+# stay cheap. Configurations can be subset via QUERC_VERIFY_CONFIGS
+# ("plain asan tsan release tsafety" by default), and the ctest filter
+# via QUERC_VERIFY_TESTS (-R pattern, default: everything).
 #
 #   tools/verify_matrix.sh                       # full matrix
 #   QUERC_VERIFY_CONFIGS="plain" tools/verify_matrix.sh
@@ -21,11 +25,12 @@
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-configs="${QUERC_VERIFY_CONFIGS:-plain asan tsan tsafety}"
+configs="${QUERC_VERIFY_CONFIGS:-plain asan tsan release tsafety}"
 test_filter="${QUERC_VERIFY_TESTS:-}"
 jobs="${QUERC_VERIFY_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 
-run_config() {
+# Configures, builds and runs ctest in one build directory.
+build_and_test() {
   local name="$1" dir="$2"
   shift 2
   echo "==== [$name] configure: $* ===="
@@ -38,6 +43,12 @@ run_config() {
   else
     (cd "$dir" && ctest --output-on-failure -j "$jobs")
   fi
+}
+
+run_config() {
+  local name="$1" dir="$2"
+  shift 2
+  build_and_test "$name" "$dir" "$@"
   # Smoke the lint CLI end to end under the instrumented binary: a query
   # with a known error-severity finding must exit nonzero.
   if printf 'SELECT a FROM orders, lineitem;' | \
@@ -95,11 +106,13 @@ run_config() {
   (cd "$dir" && ./bench/bench_tenant_fairness --smoke $agg_flags \
     --out BENCH_tenant_smoke.json >/dev/null)
   # Sched latency smoke: the lane-scheduling contract (interactive p99
-  # under a batch-lane flood within max(10x unloaded p99, 20 ms); the
-  # same-lane FIFO baseline violating that bound; batch still making
-  # progress) must hold in every config — the flood sleeps rather than
-  # spins, so queueing delay survives sanitizer slowdowns. The 2x
-  # separation perf gate runs plain-only.
+  # within max(10x unloaded p99, 20 ms) under a flood of queued batch
+  # tasks and under back-to-back batch-lane ParallelFor batches, whose
+  # helpers must yield between indices; the same-lane FIFO baseline
+  # violating that bound; batch still making progress) must hold in
+  # every config — the flood sleeps rather than spins, so queueing delay
+  # survives sanitizer slowdowns. The 2x separation perf gate runs
+  # plain-only.
   echo "==== [$name] sched latency smoke ===="
   (cd "$dir" && ./bench/bench_sched_latency --smoke $agg_flags \
     --out BENCH_sched_smoke.json >/dev/null)
@@ -140,6 +153,10 @@ for config in $configs; do
         -DQUERC_SANITIZE=address,undefined ;;
     tsan)
       run_config tsan "$repo_root/build-tsan" -DQUERC_SANITIZE=thread ;;
+    release)
+      build_and_test release "$repo_root/build-release" \
+        -DCMAKE_BUILD_TYPE=Release -DQUERC_WERROR=ON
+      echo "==== [release] ok ====" ;;
     tsafety)
       run_tsafety ;;
     *)
